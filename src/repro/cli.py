@@ -66,6 +66,25 @@ def _parse_hostport(text: str, default_host: str = "127.0.0.1",
     return (host or default_host), int(port)
 
 
+def _at_least(minimum: int):
+    """argparse ``type`` for an integer count no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
+_positive_int = _at_least(1)
+_nonnegative_int = _at_least(0)
+
+
 def _make_workload(args: argparse.Namespace) -> Workload:
     n, m, b = args.n, args.m, args.batch_size
     kind = args.workload
@@ -330,7 +349,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         wal_dir=args.wal_dir,
         checkpoint_interval=args.checkpoint_interval,
         parallel=args.parallel,
-        substrate=args.substrate,
     )
 
     # SIGTERM behaves like Ctrl-C: the driver drains admitted updates,
@@ -524,7 +542,6 @@ def _cmd_bench_queries(args: argparse.Namespace) -> int:
         seed=args.seed,
         repeats=1 if args.smoke else args.repeats,
         parallel=args.parallel,
-        substrate=args.substrate,
     )
     report = run_bench_queries(cfg)
     payload = report.to_dict()
@@ -880,14 +897,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=256, help="vertex count")
     p.add_argument("--m", type=int, default=1024, help="initial edges")
-    p.add_argument("--requests", type=int, default=10_000,
+    p.add_argument("--requests", type=_nonnegative_int, default=10_000,
                    help="client requests to serve (updates + queries)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", choices=["spanner", "sparse", "sparsifier"],
                    default="spanner")
     p.add_argument("--k", type=int, default=2,
                    help="spanner stretch parameter (2k-1)")
-    p.add_argument("--shards", type=int, default=2)
+    p.add_argument("--shards", type=_positive_int, default=2)
     p.add_argument("--no-processes", dest="processes", action="store_false",
                    help="run shards in-process instead of worker processes")
     p.add_argument("--max-batch", type=int, default=256,
@@ -910,10 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="answer batched reads over an N-worker process "
                         "pool (N >= 2; answers and charges are identical "
                         "to the default inline path)")
-    p.add_argument("--substrate", choices=["array", "dict"],
-                   default="array",
-                   help="snapshot adjacency substrate for the read path "
-                        "(answers and charges are identical on both)")
     p.add_argument("--listen", type=str, default=None, metavar="HOST:PORT",
                    help="serve over TCP instead of the synthetic driver "
                         "(port 0 = ephemeral, announced as NET-LISTEN)")
@@ -958,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
              "per-query cost, with oracle-verified equivalence",
     )
     p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--requests", type=int, default=2000)
+    p.add_argument("--requests", type=_nonnegative_int, default=2000)
     p.add_argument("--read-fraction", type=float, default=0.95)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--service-time-us", type=float, default=2000,
@@ -981,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=512, help="vertex count")
     p.add_argument("--m", type=int, default=640, help="initial edges")
-    p.add_argument("--requests", type=int, default=4000)
+    p.add_argument("--requests", type=_nonnegative_int, default=4000)
     p.add_argument("--read-fraction", type=float, default=0.95)
     p.add_argument("--window", type=int, default=500,
                    help="requests per write-then-read window")
@@ -993,10 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=0, metavar="N",
                    help="also time a third pass through an N-worker "
                         "process pool (N >= 2; informational, no bar)")
-    p.add_argument("--substrate", choices=["array", "dict"],
-                   default="array",
-                   help="snapshot adjacency substrate for the read path "
-                        "(answers and charges are identical on both)")
     p.add_argument("--smoke", action="store_true",
                    help="CI mode: <=800 requests, no speedup bar")
     p.add_argument("--json", action="store_true",
@@ -1043,9 +1052,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3,
                    help="seeded runs per fault plan")
     p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--requests", type=int, default=2500,
+    p.add_argument("--requests", type=_nonnegative_int, default=2500,
                    help="client requests per run")
-    p.add_argument("--shards", type=int, default=2)
+    p.add_argument("--shards", type=_positive_int, default=2)
     p.add_argument("--plans", type=str, default=None,
                    help="comma-separated subset of fault plans")
     p.add_argument("--checkpoint-interval", type=int, default=8)

@@ -564,38 +564,36 @@ class ShardedExecutor:
 
     # -- scatter/gather queries ----------------------------------------------
 
-    def gather_edges(self) -> set[Edge]:
-        """Union of every shard's output edges (scatter/gather).
+    def _ask(self, i: int, msg):
+        """Shard ``i``'s reply to the read-only command ``msg``.
 
-        Supervised executors restart a dead shard mid-gather instead of
-        raising, so a query barrage never wedges on a crashed worker.
+        Supervised executors restart a dead or unresponsive shard and ask
+        again instead of raising, so a query barrage never wedges on a
+        crashed worker.
         """
+        deadline = (self.supervision.recv_deadline
+                    if self.supervision else 60.0)
+        if self._try_send(i, msg):
+            try:
+                return self._shards[i].recv_within(deadline)
+            except ShardDeadError:
+                pass
+        if self.supervision is None:
+            raise ShardDeadError(f"shard {i} died answering {msg[0]!r}")
+        self._restart_shard(i)
+        self._shards[i].send(msg)
+        return self._shards[i].recv_within(deadline)
+
+    def gather_edges(self) -> set[Edge]:
+        """Union of every shard's output edges (scatter/gather)."""
         out: set[Edge] = set()
         for i in range(self.shards):
-            reply = None
-            if self._try_send(i, ("edges",)):
-                try:
-                    deadline = (self.supervision.recv_deadline
-                                if self.supervision else 60.0)
-                    reply = self._shards[i].recv_within(deadline)
-                except ShardDeadError:
-                    reply = None
-            if reply is None:
-                if self.supervision is None:
-                    raise ShardDeadError(f"shard {i} died during gather")
-                self._restart_shard(i)
-                self._shards[i].send(("edges",))
-                reply = self._shards[i].recv_within(
-                    self.supervision.recv_deadline
-                )
-            out.update(reply)
+            out.update(self._ask(i, ("edges",)))
         return out
 
     def scatter_sizes(self) -> list[int]:
         """Per-shard output sizes (occupancy diagnostics)."""
-        for s in self._shards:
-            s.send(("size",))
-        return [s.recv() for s in self._shards]
+        return [self._ask(i, ("size",)) for i in range(self.shards)]
 
     def close(self) -> None:
         """Stop every worker and release their pipes.

@@ -22,6 +22,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["spanner", "--workload", "bogus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--shards", "0"],
+            ["serve", "--shards", "-1"],
+            ["serve", "--requests", "-5"],
+            ["chaos", "--shards", "0"],
+            ["chaos", "--requests", "-1"],
+            ["bench-net", "--requests", "-1"],
+            ["bench-queries", "--requests", "-1"],
+        ],
+    )
+    def test_bad_counts_exit_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_count_bounds_are_inclusive(self):
+        args = build_parser().parse_args(
+            ["serve", "--shards", "1", "--requests", "0"]
+        )
+        assert (args.shards, args.requests) == (1, 0)
+
 
 class TestCommands:
     @pytest.mark.parametrize(

@@ -569,6 +569,32 @@ class TestShardedExecutorInproc:
         assert sum(ex.scatter_sizes()) == len(union_after)
         ex.close()
 
+    def test_scatter_sizes_restarts_dead_shard(self):
+        from repro.resilience import SupervisionConfig
+
+        edges = gnm_random_graph(32, 120, seed=6)
+        spec = {"kind": "spanner", "n": 32, "edges": edges, "seed": 6,
+                "k": 2, "base_capacity": 16}
+        sup = SupervisionConfig(recv_deadline=0.5, backoff_base=0.001,
+                                backoff_cap=0.01)
+        ex = ShardedExecutor(spec, shards=3, processes=False,
+                             supervision=sup)
+        expected = ex.scatter_sizes()
+        ex._shards[0].kill()
+        assert ex.scatter_sizes() == expected
+        assert ex.restarts_total == 1
+        ex.close()
+
+    def test_unsupervised_scatter_sizes_dead_shard_raises(self):
+        from repro.service import ShardDeadError
+
+        spec = {"kind": "spanner", "n": 8, "edges": [(0, 1)], "k": 2}
+        ex = ShardedExecutor(spec, shards=2, processes=False)
+        ex._shards[0].kill()
+        with pytest.raises(ShardDeadError):
+            ex.scatter_sizes()
+        ex.close()
+
     def test_per_shard_seeds_differ(self):
         spec = {"kind": "spanner", "n": 8, "edges": [], "seed": 5, "k": 2}
         ex = ShardedExecutor(spec, shards=3, processes=False)
