@@ -2,10 +2,11 @@
 
 Design notes
 ------------
-* **Persistent workers.**  ``workers`` processes are forked (or spawned,
-  where fork is unavailable) once at construction and reused for every
-  dispatch; per-dispatch cost is one pickle round-trip per task, not a
-  process start.
+* **Persistent workers.**  ``workers`` processes
+  (:class:`~repro.parallel.worker.WorkerProcess`, forked where available)
+  are started once at construction and reused for every dispatch;
+  per-dispatch cost is one pickle round-trip per task, not a process
+  start.
 * **One duplex pipe per worker — tasks down, results back up.**  Tasks are
   only ever sent to an *idle* worker (at most one in flight per worker),
   so a task send can never deadlock against a worker blocked on a result
@@ -33,9 +34,11 @@ Design notes
   ``shift_clustering``.
 * **Worker supervision.**  A worker that *dies* (OOM-kill, segfault,
   ``kill -9``) is detected, its in-flight task identified and requeued,
-  and a replacement forked with backoff — mirroring the shard supervision
-  in :mod:`repro.resilience.manager`.  A typed :class:`WorkerCrashed`
-  (carrying the task index and function label) surfaces only once the
+  and a replacement forked with backoff — the worker primitive and
+  restart-delay rule of :mod:`repro.parallel.worker`, shared with the
+  shard supervisor; this module keeps only the requeue policy.  A typed
+  :class:`WorkerCrashed` (carrying the task index and function label)
+  surfaces only once the
   per-dispatch restart budget is exhausted, the same task has killed
   multiple workers (a poison task), or the dispatch is *pinned*: pinned
   rounds carry per-sweep mirror deltas a mid-sweep replacement never saw,
@@ -47,7 +50,6 @@ Design notes
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import time
 import traceback
@@ -63,11 +65,14 @@ from .backend import (
     is_shippable,
     wants_cost,
 )
+from .worker import WorkerGone, WorkerProcess, restart_delay, serve
 
 __all__ = ["ProcessPoolBackend", "PoolError", "WorkerCrashed"]
 
 _QUEUE_POLL_S = 1.0
-_JOIN_TIMEOUT_S = 5.0
+#: ``map_scope`` over-splits to this many chunks per worker so stragglers
+#: rebalance; task granularity is observable via the bound metrics.
+_CHUNKS_PER_WORKER = 4
 
 
 class PoolError(RuntimeError):
@@ -101,63 +106,48 @@ class WorkerCrashed(PoolError):
         self.restarts = restarts
 
 
-def _worker_main(worker_id: int, conn) -> None:
-    """Worker loop: receive messages on ``conn``, send results back on the
-    same duplex pipe.  Runs until a ``stop`` message or EOF."""
+def _worker_main(conn, worker_id: int) -> None:
+    """Worker process body: cache broadcast payloads, run tasks, reply on
+    the same duplex pipe.  Runs until a ``stop`` message or EOF."""
     shared: dict[str, Any] = {}
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        tag = msg[0]
-        if tag == "stop":
-            return
-        if tag == "put":
-            _, key, value = msg
-            shared[key] = value
-            continue
-        # ("task", gen, task_id, mode, fn, payload, shared_keys,
-        #  pass_cost, unit_cost) — ``gen`` is the dispatch generation,
-        # echoed back so the parent can drop replies that belong to an
-        # earlier, aborted dispatch
-        _, gen, task_id, mode, fn, payload, shared_keys, pass_cost, unit_cost = msg
-        t0 = time.perf_counter()
-        try:
-            shared_view = {k: shared[k] for k in shared_keys}
-            if mode == "chunk":
+    serve(conn, lambda msg: _run_message(worker_id, shared, msg))
+
+
+def _run_message(worker_id: int, shared: dict[str, Any], msg):
+    if msg[0] == "put":
+        _, key, value = msg
+        shared[key] = value
+        return None
+    # ("task", gen, task_id, mode, fn, payload, shared_keys,
+    #  pass_cost, unit_cost) — ``gen`` is the dispatch generation,
+    # echoed back so the parent can drop replies that belong to an
+    # earlier, aborted dispatch
+    _, gen, task_id, mode, fn, payload, shared_keys, pass_cost, unit_cost = msg
+    t0 = time.perf_counter()
+    try:
+        shared_view = {k: shared[k] for k in shared_keys}
+        if mode == "chunk":
+            cm = CostModel()
+            with cm.frame() as fr:
+                value = fn(payload, shared_view, cost=cm)
+            if unit_cost > 0.0 and fr.work > 0:
+                time.sleep(fr.work * unit_cost)
+            out: Any = (value, fr.work, fr.depth)
+        else:  # mode == "scope": payload is a list of items
+            triples = []
+            for item in payload:
                 cm = CostModel()
                 with cm.frame() as fr:
-                    value = fn(payload, shared_view, cost=cm)
+                    value = fn(item, cost=cm) if pass_cost else fn(item)
                 if unit_cost > 0.0 and fr.work > 0:
                     time.sleep(fr.work * unit_cost)
-                out: Any = (value, fr.work, fr.depth)
-            else:  # mode == "scope": payload is a list of items
-                triples = []
-                for item in payload:
-                    cm = CostModel()
-                    with cm.frame() as fr:
-                        value = fn(item, cost=cm) if pass_cost else fn(item)
-                    if unit_cost > 0.0 and fr.work > 0:
-                        time.sleep(fr.work * unit_cost)
-                    triples.append((value, fr.work, fr.depth))
-                out = triples
-            busy = time.perf_counter() - t0
-            reply = ("ok", worker_id, gen, task_id, out, busy)
-        except BaseException as exc:  # noqa: BLE001 - report, don't die
-            reply = ("err", worker_id, gen, task_id, repr(exc),
-                     traceback.format_exc())
-        try:
-            conn.send(reply)
-        except OSError:  # parent is gone; nothing left to report to
-            return
-
-
-def _pick_context() -> mp.context.BaseContext:
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return mp.get_context("spawn")
+                triples.append((value, fr.work, fr.depth))
+            out = triples
+        busy = time.perf_counter() - t0
+        return ("ok", worker_id, gen, task_id, out, busy)
+    except BaseException as exc:  # noqa: BLE001 - report, don't die
+        return ("err", worker_id, gen, task_id, repr(exc),
+                traceback.format_exc())
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -172,10 +162,6 @@ class ProcessPoolBackend(ExecutionBackend):
         :mod:`repro.parallel.backend`).
     unit_cost_s / min_items:
         See :class:`~repro.parallel.backend.ExecutionBackend`.
-    chunks_per_worker:
-        Target number of chunks per worker for ``map_scope`` (over-split a
-        little so stragglers rebalance); task granularity is observable via
-        the bound metrics.
     restart_budget:
         Supervised worker replacements allowed *per dispatch* before a
         dead worker surfaces as :class:`WorkerCrashed`.
@@ -195,7 +181,6 @@ class ProcessPoolBackend(ExecutionBackend):
         *,
         unit_cost_s: float = 0.0,
         min_items: int = 1,
-        chunks_per_worker: int = 4,
         restart_budget: int = 3,
         restart_backoff_s: float = 0.05,
         task_retry_limit: int = 2,
@@ -203,7 +188,6 @@ class ProcessPoolBackend(ExecutionBackend):
         super().__init__(unit_cost_s=unit_cost_s, min_items=min_items)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
         self.restart_budget = max(0, int(restart_budget))
         self.restart_backoff_s = max(0.0, float(restart_backoff_s))
         self.task_retry_limit = max(1, int(task_retry_limit))
@@ -211,78 +195,44 @@ class ProcessPoolBackend(ExecutionBackend):
         self._inflight = 0
         self._gen = 0           # dispatch generation (stale-reply filter)
         self._shared: dict[str, Any] = {}
-        self._ctx = _pick_context()
-        self._procs = []
-        self._conns = []
-        for wid in range(workers):
-            proc, conn = self._spawn(wid)
-            self._procs.append(proc)
-            self._conns.append(conn)
+        self._workers = [self._spawn(wid) for wid in range(workers)]
 
-    def _spawn(self, wid: int):
-        """Fork one worker process; returns ``(process, parent_conn)``."""
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(wid, child_conn),
-            daemon=True,
-            name=f"repro-pool-{wid}",
-        )
-        proc.start()
-        child_conn.close()
-        return proc, parent_conn
+    @staticmethod
+    def _spawn(wid: int) -> WorkerProcess:
+        return WorkerProcess(_worker_main, wid, name=f"repro-pool-{wid}")
+
+    @property
+    def _procs(self) -> list:
+        """The workers' :class:`multiprocessing.Process` objects."""
+        return [w.proc for w in self._workers]
 
     def _respawn(self, wid: int) -> None:
         """Replace a dead worker in-place and re-seed its broadcast cache.
 
         Uncharged control plane: touches no cost model state.
         """
-        old_proc, old_conn = self._procs[wid], self._conns[wid]
-        old_proc.join(timeout=1.0)
-        if old_proc.is_alive():  # pragma: no cover - refuses to die
-            old_proc.terminate()
-            old_proc.join(timeout=1.0)
-        try:
-            old_conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        proc, conn = self._spawn(wid)
-        self._procs[wid] = proc
-        self._conns[wid] = conn
+        self._workers[wid].close()
+        fresh = self._workers[wid] = self._spawn(wid)
         # replacement must see the same broadcast payloads its siblings
         # hold (the parent-side version cache is unchanged, so put_shared
         # callers will rightly skip re-publishing)
         for key, value in self._shared.items():
-            conn.send(("put", key, value))
+            fresh.send(("put", key, value))
         self._record_worker_restart()
 
     # -- lifecycle --------------------------------------------------------
 
     @property
     def workers(self) -> int:
-        return len(self._procs)
+        return len(self._workers)
 
     def close(self) -> None:
         """Stop every worker, join the processes, release pipes (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-        deadline = time.monotonic() + _JOIN_TIMEOUT_S
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        for w in self._workers:
+            w.close()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -295,8 +245,13 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._inflight:
             raise PoolError("put_shared while tasks are in flight")
         self._shared[key] = value
-        for conn in self._conns:
-            conn.send(("put", key, value))
+        for wid, w in enumerate(self._workers):
+            try:
+                w.send(("put", key, value))
+            except WorkerGone:
+                # died while idle: the replacement is re-seeded from
+                # ``_shared``, which already holds the new value
+                self._respawn(wid)
 
     def get_shared(self, key: str) -> Any:
         """Return the parent-side copy of a broadcast payload."""
@@ -338,19 +293,18 @@ class ProcessPoolBackend(ExecutionBackend):
         busy: list[float] = [0.0] * n
         if n == 0:
             return results, busy, 0.0
-        if pinned and n > len(self._procs):
+        if pinned and n > len(self._workers):
             raise ValueError("pinned dispatch needs len(payloads) <= workers")
         t0 = time.perf_counter()
         queue_order = list(order) if order is not None else list(range(n))
         if sorted(queue_order) != list(range(n)):
             raise ValueError("order must be a permutation of the task ids")
         pending = deque(queue_order)
-        idle = list(range(len(self._procs)))
+        idle = list(range(len(self._workers)))
         inflight: dict[int, int] = {}       # wid -> task_id
         task_kills: dict[int, int] = {}     # task_id -> workers it killed
         outstanding = 0
         restarts = 0
-        backoff = self.restart_backoff_s
         error: tuple[str, str] | None = None
         fn_name = getattr(fn, "__name__", repr(fn))
         self._inflight = n
@@ -372,11 +326,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
         def replace(wid: int, *, budgeted: bool) -> None:
             """Respawn ``wid``; ``budgeted`` restarts sleep and count."""
-            nonlocal restarts, backoff
+            nonlocal restarts
             if budgeted:
-                if backoff > 0.0:
-                    time.sleep(backoff)
-                backoff = (backoff * 2.0) or self.restart_backoff_s
+                time.sleep(restart_delay(restarts, self.restart_backoff_s))
                 restarts += 1
             self._respawn(wid)
 
@@ -384,7 +336,7 @@ class ProcessPoolBackend(ExecutionBackend):
             """Requeue the dead workers' tasks and fork replacements, or
             surface :class:`WorkerCrashed` when recovery is off the table."""
             nonlocal outstanding
-            names = [self._procs[w].name for w in dead_wids]
+            names = [self._workers[w].proc.name for w in dead_wids]
             lost: list[int] = []
             for wid in dead_wids:
                 task = inflight.pop(wid, None)
@@ -405,6 +357,15 @@ class ProcessPoolBackend(ExecutionBackend):
                 crash(names, poison or lost)
             pending.extendleft(reversed(lost))
 
+        def replace_idle(wid: int, task_ids: list[int]) -> None:
+            """Respawn a worker found dead before it took a task; past the
+            budget the pool still heals, then :class:`WorkerCrashed`."""
+            if restarts >= self.restart_budget:
+                name = self._workers[wid].proc.name
+                replace(wid, budgeted=False)
+                crash([name], task_ids)
+            replace(wid, budgeted=True)
+
         def send_next() -> bool:
             nonlocal outstanding
             if error is not None or not idle or not pending:
@@ -413,19 +374,15 @@ class ProcessPoolBackend(ExecutionBackend):
             wid = task_id if pinned else idle[-1]
             if pinned and wid not in idle:
                 return False
-            if not self._procs[wid].is_alive():
+            if not self._workers[wid].alive():
                 # died while idle: replace before assigning work; pinned
                 # dispatches tolerate this too — the replacement joins
                 # before any of this dispatch's deltas were sent to it
-                if restarts >= self.restart_budget:
-                    name = self._procs[wid].name
-                    replace(wid, budgeted=False)
-                    crash([name], [])
-                replace(wid, budgeted=True)
+                replace_idle(wid, [])
             pending.popleft()
             idle.remove(wid)
             try:
-                self._conns[wid].send(
+                self._workers[wid].send(
                     (
                         "task",
                         gen,
@@ -438,15 +395,11 @@ class ProcessPoolBackend(ExecutionBackend):
                         self.unit_cost_s,
                     )
                 )
-            except OSError:
+            except WorkerGone:
                 # died between the liveness check and the send
                 pending.appendleft(task_id)
                 idle.append(wid)
-                if restarts >= self.restart_budget:
-                    name = self._procs[wid].name
-                    replace(wid, budgeted=False)
-                    crash([name], [task_id])
-                replace(wid, budgeted=True)
+                replace_idle(wid, [task_id])
                 return True  # retry on the replacement next iteration
             inflight[wid] = task_id
             outstanding += 1
@@ -465,14 +418,14 @@ class ProcessPoolBackend(ExecutionBackend):
                             continue
                     break  # error path: nothing left in flight
                 ready = mp_connection.wait(
-                    [self._conns[w] for w in inflight],
+                    [self._workers[w].conn for w in inflight],
                     timeout=_QUEUE_POLL_S,
                 )
                 if not ready:
                     # belt-and-braces: a death normally surfaces as EOF on
                     # the worker's pipe, but sweep liveness anyway
                     dead = [wid for wid in list(inflight)
-                            if not self._procs[wid].is_alive()]
+                            if not self._workers[wid].alive()]
                     if dead:
                         supervise(dead)
                         while send_next():
@@ -480,13 +433,14 @@ class ProcessPoolBackend(ExecutionBackend):
                     continue
                 for conn in ready:
                     wid = next((w for w in list(inflight)
-                                if self._conns[w] is conn), None)
+                                if self._workers[w].conn is conn), None)
                     if wid is None:
                         # conn was replaced by supervision this round
                         continue
                     try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
+                        # wait() reported the pipe ready: data or EOF
+                        msg = self._workers[wid].recv_within(0.0)
+                    except WorkerGone:
                         # worker died: its duplex pipe tore — requeue
                         supervise([wid])
                         while send_next():
@@ -548,7 +502,7 @@ class ProcessPoolBackend(ExecutionBackend):
         chunk = max(
             1,
             self.min_items,
-            -(-len(seq) // (self.workers * self.chunks_per_worker)),
+            -(-len(seq) // (self.workers * _CHUNKS_PER_WORKER)),
         )
         payloads = [seq[i : i + chunk] for i in range(0, len(seq), chunk)]
         raw, busy, wall = self._dispatch("scope", fn, payloads, (), pass_cost)

@@ -204,7 +204,6 @@ def bootstrap_executor(
     shards: int,
     manager: RecoveryManager,
     processes: bool = False,
-    start_method: str | None = None,
     supervision: SupervisionConfig | None = None,
     injector: FaultInjector | None = None,
 ):
@@ -224,8 +223,8 @@ def bootstrap_executor(
     boot_spec = dict(spec)
     boot_spec["edges"] = sorted(base_union)
     executor = ShardedExecutor(
-        boot_spec, shards, processes=processes, start_method=start_method,
-        supervision=supervision, recovery=manager, injector=injector,
+        boot_spec, shards, processes=processes, supervision=supervision,
+        recovery=manager, injector=injector,
     )
     for rec in manager.tail:
         executor.apply(rec.batch, seq=rec.seq)

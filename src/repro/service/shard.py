@@ -3,20 +3,21 @@
 The paper's structures share no state across disjoint edge sets, so the
 engine can escape the GIL by hash-partitioning edges over ``S`` shards,
 each a full structure instance on the common vertex set, running in its
-own ``multiprocessing`` worker.  A flush scatters the coalesced batch into
-per-shard sub-batches (shards apply them in parallel), then gathers the
-``(δ_ins, δ_del)`` deltas plus cost-model work/depth; shard work *sums*
-while shard depth *maxes*, exactly the cost model's parallel-composition
-rule.
+own worker process (:class:`~repro.parallel.worker.WorkerProcess`).  A
+flush scatters the coalesced batch into per-shard sub-batches (shards
+apply them in parallel), then gathers the ``(δ_ins, δ_del)`` deltas plus
+cost-model work/depth; shard work *sums* while shard depth *maxes*,
+exactly the cost model's parallel-composition rule.
 
 ``processes=False`` runs the same protocol in-process (deterministic, no
 fork needed) — tests and the benchmark baseline use it; the CLI demo uses
 real processes where the platform provides them.
 
-Supervision (PR 4): every worker interaction carries a recv deadline, and
-a dead or hung worker is restarted — with exponential backoff — from the
-last checkpoint plus a WAL-tail replay (or, lacking durable state, from
-the in-memory applied-batch history).  The in-flight sub-batch is then
+Supervision is this module's policy over the worker primitive:
+every worker interaction carries a recv deadline, and a dead or hung
+worker is restarted — with exponential backoff — from the last
+checkpoint plus a WAL-tail replay (or, lacking durable state, from the
+in-memory applied-batch history).  The in-flight sub-batch is then
 retried; after ``max_batch_attempts`` consecutive crash-loops on the same
 batch it is quarantined instead, keeping the engine live on poison input.
 All of it is observable through the :class:`ApplyResult` recovery fields
@@ -25,14 +26,13 @@ and, one level up, the service's :class:`MetricsRegistry`.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import pickle
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any
 
 from repro.graph.dynamic_graph import Edge
+from repro.parallel.worker import WorkerGone, WorkerProcess, restart_delay, serve
 from repro.pram.cost import CostModel
 from repro.resilience.faults import NULL_INJECTOR, FaultInjector
 from repro.resilience.manager import RecoveryManager, SupervisionConfig
@@ -49,8 +49,9 @@ __all__ = [
 ]
 
 
-class ShardDeadError(RuntimeError):
-    """A worker died or hung and could not serve the request."""
+#: A shard worker died or hung and could not serve the request; the
+#: worker primitive's one typed failure.
+ShardDeadError = WorkerGone
 
 
 def edge_shard(edge: Edge, shards: int) -> int:
@@ -69,118 +70,38 @@ def split_by_shard(
     return out
 
 
-#: Pipes default to protocol-2 pickles; the highest protocol (5) frames
-#: large update batches with out-of-band-friendly encoding and measurably
-#: cheaper int/tuple serialization on the flush path.
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
+def _handle(backend, cost: CostModel, msg):
+    """Answer one shard command (``update``, ``edges``, ``size``, ``ping``).
 
-
-def _pipe_send(conn, obj) -> None:
-    conn.send_bytes(pickle.dumps(obj, _PICKLE_PROTO))
-
-
-def _pipe_recv(conn):
-    return pickle.loads(conn.recv_bytes())
+    The worker process loop and :class:`_InprocShard` both call this, so
+    the two shard kinds speak exactly one protocol.
+    """
+    cmd = msg[0]
+    if cmd == "update":
+        _, ins, dels = msg
+        with cost.frame() as fr:
+            d_ins, d_del = backend.update(insertions=ins, deletions=dels)
+        # reply envelope: plain lists pickle smaller/faster than sets
+        # and the parent folds them with set.update() anyway
+        return (list(d_ins), list(d_del), fr.work, fr.depth)
+    if cmd == "edges":
+        return list(backend.output_edges())
+    if cmd == "size":
+        return len(backend.output_edges())
+    if cmd == "ping":
+        return ("pong",)
+    raise ValueError(f"unknown command {cmd!r}")
 
 
 def _serve_backend(conn, spec: dict[str, Any]) -> None:
-    """Worker loop: build the backend, answer update/query messages."""
+    """Worker process body: build the backend, then answer commands."""
     cost = CostModel()
     backend = build_backend(spec, cost)
-    while True:
-        msg = _pipe_recv(conn)
-        cmd = msg[0]
-        if cmd == "update":
-            _, ins, dels = msg
-            with cost.frame() as fr:
-                d_ins, d_del = backend.update(insertions=ins, deletions=dels)
-            # reply envelope: plain lists pickle smaller/faster than sets
-            # and the parent folds them with set.update() anyway
-            _pipe_send(conn, (list(d_ins), list(d_del), fr.work, fr.depth))
-        elif cmd == "edges":
-            _pipe_send(conn, list(backend.output_edges()))
-        elif cmd == "size":
-            _pipe_send(conn, len(backend.output_edges()))
-        elif cmd == "ping":
-            _pipe_send(conn, ("pong",))
-        elif cmd == "stop":
-            _pipe_send(conn, ("bye",))
-            conn.close()
-            return
-        else:  # pragma: no cover - protocol misuse
-            _pipe_send(conn, ValueError(f"unknown command {cmd!r}"))
-
-
-class _ProcessShard:
-    """One worker process plus its parent-side pipe end."""
-
-    def __init__(self, spec: dict[str, Any], ctx) -> None:
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_serve_backend, args=(child, spec), daemon=True
-        )
-        self.proc.start()
-        child.close()
-
-    def send(self, msg) -> None:
-        _pipe_send(self.conn, msg)
-
-    def recv(self):
-        return _pipe_recv(self.conn)
-
-    def recv_within(self, deadline: float):
-        """Reply within ``deadline`` seconds, else :class:`ShardDeadError`."""
-        try:
-            if not self.conn.poll(deadline):
-                raise ShardDeadError(
-                    f"worker pid={self.proc.pid} missed its "
-                    f"{deadline:.3f}s reply deadline"
-                )
-            return _pipe_recv(self.conn)
-        except (EOFError, BrokenPipeError, OSError, pickle.PickleError) as exc:
-            raise ShardDeadError(f"worker pipe failed: {exc!r}") from exc
-
-    def drain_one(self, timeout: float = 0.0) -> bool:
-        """Discard one buffered reply if present (fault injection)."""
-        try:
-            if self.conn.poll(timeout):
-                self.conn.recv_bytes()
-                return True
-        except (EOFError, BrokenPipeError, OSError):
-            pass
-        return False
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def kill(self) -> None:
-        """SIGKILL the worker (no cleanup — that is the point)."""
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-
-    def close(self) -> None:
-        try:
-            _pipe_send(self.conn, ("stop",))
-            if self.conn.poll(1.0):
-                self.conn.recv_bytes()
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=1.0)
-        if self.proc.is_alive():  # pragma: no cover - stubborn worker
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+    serve(conn, lambda msg: _handle(backend, cost, msg))
 
 
 class _InprocShard:
-    """Same message protocol, executed synchronously in-process.
+    """The shard protocol executed synchronously in-process.
 
     Supports simulated death (:meth:`kill`) so supervision and the chaos
     harness run deterministically without ``multiprocessing``.
@@ -190,62 +111,31 @@ class _InprocShard:
         self._cost = CostModel()
         self._backend = build_backend(spec, self._cost)
         self._reply = None
-        self._dead = False
 
     def send(self, msg) -> None:
-        if self._dead:
-            raise BrokenPipeError("in-process shard was killed")
-        cmd = msg[0]
-        if cmd == "update":
-            _, ins, dels = msg
-            try:
-                with self._cost.frame() as fr:
-                    d_ins, d_del = self._backend.update(
-                        insertions=ins, deletions=dels
-                    )
-            except Exception as exc:
-                # a real worker process dies on an update that crashes the
-                # backend (poison batch); mirror that so supervision sees
-                # the same failure mode in deterministic in-process runs
-                self.kill()
-                raise BrokenPipeError(
-                    f"in-process worker crashed applying batch: {exc!r}"
-                ) from exc
-            self._reply = (list(d_ins), list(d_del), fr.work, fr.depth)
-        elif cmd == "edges":
-            self._reply = list(self._backend.output_edges())
-        elif cmd == "size":
-            self._reply = len(self._backend.output_edges())
-        elif cmd == "ping":
-            self._reply = ("pong",)
-        elif cmd == "stop":
-            self._reply = ("bye",)
-        else:
-            raise ValueError(f"unknown command {cmd!r}")
+        if self._backend is None:
+            raise ShardDeadError("in-process shard was killed")
+        try:
+            self._reply = _handle(self._backend, self._cost, msg)
+        except Exception as exc:
+            # a real worker process dies on a command that crashes the
+            # backend (poison batch); mirror that so supervision sees the
+            # same failure mode in deterministic in-process runs
+            self.kill()
+            raise ShardDeadError(
+                f"in-process worker crashed on {msg[0]!r}: {exc!r}"
+            ) from exc
 
-    def recv(self):
-        if self._dead:
-            raise EOFError("in-process shard was killed")
+    def recv_within(self, deadline: float):
+        if self._backend is None:
+            raise ShardDeadError("in-process shard was killed")
         reply, self._reply = self._reply, None
         return reply
 
-    def recv_within(self, deadline: float):
-        try:
-            return self.recv()
-        except EOFError as exc:
-            raise ShardDeadError(str(exc)) from exc
-
-    def drain_one(self, timeout: float = 0.0) -> bool:
-        if self._reply is not None:
-            self._reply = None
-            return True
-        return False
-
     def alive(self) -> bool:
-        return not self._dead
+        return self._backend is not None
 
     def kill(self) -> None:
-        self._dead = True
         self._reply = None
         self._backend = None  # state dies with the "process"
 
@@ -274,12 +164,9 @@ class ShardedExecutor:
     shards:
         Number of partitions (>= 1).
     processes:
-        Run workers as real processes (parallel, needs a working
-        ``multiprocessing`` start method) or in-process (deterministic).
-    start_method:
-        Forwarded to :func:`multiprocessing.get_context`; defaults to
-        ``fork`` where available (cheap, inherits the parent image) else
-        the platform default.
+        Run workers as real processes (parallel; see
+        :class:`~repro.parallel.worker.WorkerProcess`) or in-process
+        (deterministic).
     supervision:
         Deadlines/backoff/quarantine policy; None disables supervision
         entirely (a dead worker then surfaces as an exception, the
@@ -297,7 +184,6 @@ class ShardedExecutor:
         spec: dict[str, Any],
         shards: int,
         processes: bool = False,
-        start_method: str | None = None,
         supervision: SupervisionConfig | None = None,
         recovery: RecoveryManager | None = None,
         injector: FaultInjector | None = None,
@@ -319,12 +205,6 @@ class ShardedExecutor:
             sub["edges"] = parts[i]
             sub["seed"] = base_seed + i
             self.shard_specs.append(sub)
-        self._ctx = None
-        if processes:
-            if start_method is None:
-                methods = mp.get_all_start_methods()
-                start_method = "fork" if "fork" in methods else None
-            self._ctx = mp.get_context(start_method)
         self._shards = [self._spawn(self.shard_specs[i])
                         for i in range(shards)]
         # per-shard applied sub-batches, for offline replay verification
@@ -342,7 +222,7 @@ class ShardedExecutor:
 
     def _spawn(self, spec: dict[str, Any]):
         if self.processes:
-            return _ProcessShard(spec, self._ctx)
+            return WorkerProcess(_serve_backend, spec)
         return _InprocShard(spec)
 
     # -- executor protocol ---------------------------------------------------
@@ -458,7 +338,7 @@ class ShardedExecutor:
         try:
             self._shards[i].send(msg)
             return True
-        except (BrokenPipeError, OSError, EOFError):
+        except ShardDeadError:
             return False
 
     def _gather_one(self, i: int, was_sent: bool, seq: int | None):
@@ -470,7 +350,10 @@ class ShardedExecutor:
         action = self.injector.on_recv(i, seq)
         if action == "drop":
             # simulate a lost reply: swallow whatever arrives in-deadline
-            self._shards[i].drain_one(timeout=min(deadline, 0.25))
+            try:
+                self._shards[i].recv_within(min(deadline, 0.25))
+            except ShardDeadError:
+                pass
             return None
         if isinstance(action, tuple) and action[0] == "delay":
             # simulate a stalled worker: the reply misses its deadline
@@ -510,9 +393,8 @@ class ShardedExecutor:
             finally:
                 shard.close()
             streak = self._restart_streak[i]
-            delay = min(sup.backoff_cap, sup.backoff_base * (2 ** streak))
-            if delay > 0:
-                time.sleep(delay)
+            time.sleep(restart_delay(streak, sup.backoff_base,
+                                     sup.backoff_cap))
             self._restart_streak[i] = streak + 1
             self.restarts_total += 1
             base, replay, used_wal = self._recovery_source(i)

@@ -99,7 +99,7 @@ class TestRealProcessKill:
         mgr = RecoveryManager(ResilienceConfig(directory=tmp_path))
         sup = SupervisionConfig(recv_deadline=2.0, backoff_base=0.01,
                                 backoff_cap=0.05)
-        ex = ShardedExecutor(spec, 2, processes=True, start_method="fork",
+        ex = ShardedExecutor(spec, 2, processes=True,
                              supervision=sup, recovery=mgr)
         try:
             taken = set(initial)

@@ -520,6 +520,27 @@ class TestWorkerSupervision:
         finally:
             pool.close()
 
+    def test_put_shared_respawns_idle_dead_worker(self):
+        """A worker killed between sweeps must not fail the next
+        ``put_shared``: it is respawned and re-seeded with the new value."""
+        import os
+        import signal
+
+        pool = ProcessPoolBackend(2, restart_backoff_s=0.01)
+        try:
+            pool.put_shared("base", [10, 20], version=1)
+            os.kill(pool._procs[0].pid, signal.SIGKILL)
+            pool._procs[0].join(timeout=2.0)
+            pool.put_shared("base", [100, 200], version=2)
+            assert pool.worker_restarts_total == 1
+            out = pool.map_chunks(
+                shared_sum_kernel,
+                [{"items": [1]}, {"items": [2]}],
+                shared_keys=("base",), pinned=True)
+            assert [r.value for r in out] == [301, 302]
+        finally:
+            pool.close()
+
     def test_worker_restarts_metric(self, tmp_path):
         from repro.service.metrics import MetricsRegistry
 

@@ -569,7 +569,12 @@ class TestShardedExecutorInproc:
         assert sum(ex.scatter_sizes()) == len(union_after)
         ex.close()
 
-    def test_scatter_sizes_restarts_dead_shard(self):
+    @pytest.mark.parametrize("processes", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not _HAS_FORK, reason="platform lacks fork")),
+    ])
+    def test_scatter_sizes_restarts_dead_shard(self, processes):
         from repro.resilience import SupervisionConfig
 
         edges = gnm_random_graph(32, 120, seed=6)
@@ -577,7 +582,7 @@ class TestShardedExecutorInproc:
                 "k": 2, "base_capacity": 16}
         sup = SupervisionConfig(recv_deadline=0.5, backoff_base=0.001,
                                 backoff_cap=0.01)
-        ex = ShardedExecutor(spec, shards=3, processes=False,
+        ex = ShardedExecutor(spec, shards=3, processes=processes,
                              supervision=sup)
         expected = ex.scatter_sizes()
         ex._shards[0].kill()
@@ -612,9 +617,7 @@ class TestShardedExecutorMultiprocessing:
         edges = gnm_random_graph(24, 80, seed=7)
         spec = {"kind": "spanner", "n": 24, "edges": edges, "seed": 7,
                 "k": 2, "base_capacity": 16}
-        with ShardedExecutor(
-            spec, shards=2, processes=True, start_method="fork"
-        ) as ex:
+        with ShardedExecutor(spec, shards=2, processes=True) as ex:
             before = ex.gather_edges()
             assert before  # workers answered
             res = ex.apply(UpdateBatch(deletions=edges[:10]))
