@@ -484,97 +484,67 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_net(args: argparse.Namespace) -> int:
-    """SRV2 replica-scaling benchmark (see docs/replication.md)."""
+def _bench(args: argparse.Namespace, run, cfg, check_bar=None) -> int:
+    """Run one bench harness and emit its report: JSON or text on stdout,
+    one ``FAIL <msg>`` line per failure on stderr.  ``--smoke`` shrinks
+    the run to its bench's CI size and skips the acceptance bar."""
     import json
 
+    if args.smoke:
+        cfg = cfg.smoke_sized()
+    report = run(cfg)
+    if check_bar is not None and not args.smoke:
+        check_bar(report)
+    print(json.dumps(report.to_dict(), sort_keys=True) if args.json
+          else report.text)
+    for msg in report.failures:
+        print(f"FAIL {msg}", file=sys.stderr)
+    return 0 if report.ok else 1
+
+
+def _cmd_bench_net(args: argparse.Namespace) -> int:
+    """SRV2 replica-scaling benchmark (see docs/replication.md).  Its
+    scaling bar needs two replica counts, so ``tools/bench_gate.py``
+    checks it."""
     from repro.net.bench import BenchNetConfig, run_bench_net
 
-    requests = args.requests
-    service_time_us = args.service_time_us
-    if args.smoke:
-        # CI-friendly: small request count, 1ms pinned query cost — the
-        # whole run (incl. convergence + oracle check) stays under ~30s
-        requests = min(requests, 400)
-        service_time_us = min(service_time_us, 1000)
-    cfg = BenchNetConfig(
+    return _bench(args, run_bench_net, BenchNetConfig(
         replicas=args.replicas,
-        requests=requests,
+        requests=args.requests,
         read_fraction=args.read_fraction,
         seed=args.seed,
-        service_time=service_time_us / 1e6,
+        service_time=args.service_time_us / 1e6,
         mode=args.mode,
         kill_replica=args.kill_replica,
-    )
-    report = run_bench_net(cfg)
-    payload = report.to_dict()
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(format_table(
-            [{k: v for k, v in payload.items() if k != "violations"}],
-            title="repro bench-net: replica scaling (SRV2)"))
-        for v in report.violations:
-            print(f"VIOLATION {v}")
-        if report.verified:
-            print("replica equivalence: OK — every replica converged to "
-                  "the primary's exact state (oracle-verified)")
-    return 0 if report.verified else 1
+    ))
 
 
 def _cmd_bench_queries(args: argparse.Namespace) -> int:
     """SRV3 batched-read throughput benchmark (see docs/queries.md)."""
-    import json
+    from repro.queries.bench import (
+        BenchQueriesConfig,
+        check_bar,
+        run_bench_queries,
+    )
 
-    from repro.queries.bench import BenchQueriesConfig, run_bench_queries
-
-    requests = args.requests
-    if args.smoke:
-        # CI-friendly: small stream, single repeat; equivalence is still
-        # asserted on every window, only the wall-clock bar is waived
-        requests = min(requests, 800)
-    cfg = BenchQueriesConfig(
+    return _bench(args, run_bench_queries, BenchQueriesConfig(
         n=args.n,
         m=args.m,
-        requests=requests,
+        requests=args.requests,
         read_fraction=args.read_fraction,
         window=args.window,
         seed=args.seed,
-        repeats=1 if args.smoke else args.repeats,
+        repeats=args.repeats,
         parallel=args.parallel,
-    )
-    report = run_bench_queries(cfg)
-    payload = report.to_dict()
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(format_table(
-            report.rows(),
-            title="repro bench-queries: batched vs singleton reads (SRV3)"))
-        print(f"\nwork={report.work} depth={report.depth} "
-              f"wall={report.wall_seconds:.2f}s")
-        for v in report.violations:
-            print(f"VIOLATION {v}")
-        if report.verified:
-            print("batch equivalence: OK — every batched answer equals "
-                  "the query-at-a-time answer on the same snapshot")
-    if not report.verified:
-        return 1
-    if not args.smoke and report.speedup_x < args.min_speedup:
-        print(f"SPEEDUP BAR MISSED: {report.speedup_x:.2f}x < "
-              f"{args.min_speedup:.1f}x")
-        return 1
-    return 0
+    ), check_bar)
 
 
 def _cmd_bench_parallel(args: argparse.Namespace) -> int:
     """PAR1 processor sweep: measured speedup vs Brent (see
     docs/parallel.md)."""
-    import json
-
     from repro.parallel.bench import (
         BenchParallelConfig,
-        render_report,
+        check_bar,
         run_bench_parallel,
     )
 
@@ -590,7 +560,7 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
         print("--procs needs at least one processor count >= 1",
               file=sys.stderr)
         return 2
-    cfg = BenchParallelConfig(
+    return _bench(args, run_bench_parallel, BenchParallelConfig(
         n=args.n,
         m=args.m,
         sources=args.sources,
@@ -601,15 +571,7 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
         min_items=args.min_items,
         seed=args.seed,
         pure=args.pure,
-        min_speedup=args.min_speedup,
-        smoke=args.smoke,
-    )
-    report = run_bench_parallel(cfg)
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(render_report(report))
-    return 0 if report["pass"] else 1
+    ), check_bar)
 
 
 def _print_chaos_json(report, rows=None) -> int:
@@ -996,13 +958,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=640, help="initial edges")
     p.add_argument("--requests", type=_nonnegative_int, default=4000)
     p.add_argument("--read-fraction", type=float, default=0.95)
-    p.add_argument("--window", type=int, default=500,
+    p.add_argument("--window", type=_positive_int, default=500,
                    help="requests per write-then-read window")
     p.add_argument("--seed", type=int, default=4242)
-    p.add_argument("--repeats", type=int, default=3,
+    p.add_argument("--repeats", type=_positive_int, default=3,
                    help="timing repeats (best-of)")
-    p.add_argument("--min-speedup", type=float, default=3.0,
-                   help="acceptance bar on batched/singleton throughput")
     p.add_argument("--parallel", type=int, default=0, metavar="N",
                    help="also time a third pass through an N-worker "
                         "process pool (N >= 2; informational, no bar)")
@@ -1029,13 +989,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit-cost-us", type=float, default=15.0,
                    help="pinned microseconds per charged work unit "
                         "(the SRV2 convention; 0 = raw CPU only)")
-    p.add_argument("--repeats", type=int, default=2,
+    p.add_argument("--repeats", type=_positive_int, default=2,
                    help="timing repeats (best-of)")
     p.add_argument("--min-items", type=int, default=32,
                    help="rounds smaller than this expand inline")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-speedup", type=float, default=2.0,
-                   help="acceptance bar at p=4 on at least one kernel")
     p.add_argument("--pure", action="store_true",
                    help="also sweep with unit cost 0 (raw CPU time)")
     p.add_argument("--smoke", action="store_true",

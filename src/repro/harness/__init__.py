@@ -3,9 +3,10 @@ benchmark suite."""
 
 from repro.harness.figures import ascii_plot, sparkline
 from repro.harness.profiling import profile_callable, profile_workload
-from repro.harness.runner import RunStats, format_table, run_workload
+from repro.harness.runner import BenchReport, RunStats, format_table, run_workload
 
 __all__ = [
+    "BenchReport",
     "RunStats",
     "ascii_plot",
     "format_table",

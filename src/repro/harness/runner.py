@@ -16,7 +16,7 @@ from typing import Any, Callable, Protocol
 from repro.pram.cost import Cost, CostModel, brent_time
 from repro.workloads.streams import Workload
 
-__all__ = ["RunStats", "run_workload", "format_table"]
+__all__ = ["BenchReport", "RunStats", "run_workload", "format_table"]
 
 
 class _DynamicStructure(Protocol):
@@ -138,6 +138,37 @@ def run_workload(
         output_size_final=output_size(struct),
         extra=extra,
     )
+
+
+@dataclass
+class BenchReport:
+    """One run of a benchmark harness (SRV2, SRV3, PAR1).
+
+    ``payload`` is the JSON view, ``text`` the human-readable one, and
+    ``failures`` every reason the run does not pass: violations found
+    while running, plus any acceptance bar a full run checked afterwards
+    (see :meth:`require`).
+    """
+
+    payload: dict[str, Any]
+    text: str
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_dict(self) -> dict[str, Any]:
+        """The payload plus ``failures`` (the ``--json`` output)."""
+        return {**self.payload, "failures": list(self.failures)}
+
+    def require(self, what: str, measured: float, bar: float) -> None:
+        """Record a failure unless ``measured`` reaches the ``bar``."""
+        if measured < bar:
+            self.failures.append(
+                f"{what} bar missed: {measured:.2f}x "
+                f"(acceptance requires >={bar:.1f}x)"
+            )
 
 
 def format_table(rows: list[dict[str, Any]], title: str = "") -> str:

@@ -18,7 +18,7 @@ engine.
 Two modes:
 
 - ``inproc``: primary and replicas as threads in this process (fast, used
-  by the ``tools/bench_gate.py`` SRV2 smoke scenario).
+  by the ``tools/bench_gate.py`` SRV2 scenario).
 - ``subprocess``: primary and replicas as real ``repro.cli`` processes on
   localhost (used by the CI ``net-smoke`` job), supporting
   ``kill_replica=True`` — one replica is SIGKILLed mid-run, serving
@@ -33,9 +33,10 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.harness import BenchReport, format_table
 from repro.net.client import NetClient
 from repro.net.protocol import ProtocolError, ServerError
 from repro.net.replica import LogShippingReplica, ReplicaConfig, run_replica
@@ -43,7 +44,14 @@ from repro.net.server import NetServerConfig, ThreadedServer
 from repro.net.tenants import TenantConfig, TenantManager
 from repro.workloads.streams import request_stream
 
-__all__ = ["BenchNetConfig", "BenchNetReport", "run_bench_net"]
+__all__ = ["BenchNetConfig", "run_bench_net"]
+
+#: the served graph: G(N, M) under a k=2 spanner
+N, M, K = 96, 220, 2
+#: query slots per serving front end (read capacity is slots/service_time)
+QUERY_SLOTS = 1
+#: seconds the replicas get to drain to the primary's committed seq
+CONVERGE_TIMEOUT = 30.0
 
 
 @dataclass
@@ -51,54 +59,17 @@ class BenchNetConfig:
     replicas: int = 1
     requests: int = 2000
     read_fraction: float = 0.95
-    n: int = 96
-    m: int = 220
-    k: int = 2
     seed: int = 1234
     service_time: float = 0.002     # pinned per-query engine seconds
-    query_slots: int = 1            # slots per serving front end
     mode: str = "inproc"            # "inproc" | "subprocess"
     kill_replica: bool = False      # SIGKILL one replica mid-run
-    converge_timeout: float = 30.0
 
-
-@dataclass
-class BenchNetReport:
-    config: BenchNetConfig
-    elapsed_s: float = 0.0
-    reads: int = 0
-    writes: int = 0
-    read_throughput_rps: float = 0.0
-    read_p50_ms: float = 0.0
-    read_p99_ms: float = 0.0
-    stale_reads: int = 0
-    sheds: int = 0
-    killed_replica: bool = False
-    converged: bool = False
-    verified: bool = False
-    violations: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """JSON-safe report payload (the ``--json`` output)."""
-        return {
-            "mode": self.config.mode,
-            "replicas": self.config.replicas,
-            "requests": self.config.requests,
-            "read_fraction": self.config.read_fraction,
-            "service_time": self.config.service_time,
-            "elapsed_s": round(self.elapsed_s, 4),
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_throughput_rps": round(self.read_throughput_rps, 1),
-            "read_p50_ms": round(self.read_p50_ms, 3),
-            "read_p99_ms": round(self.read_p99_ms, 3),
-            "stale_reads": self.stale_reads,
-            "sheds": self.sheds,
-            "killed_replica": self.killed_replica,
-            "converged": self.converged,
-            "verified": self.verified,
-            "violations": self.violations,
-        }
+    def smoke_sized(self) -> BenchNetConfig:
+        """This run at CI size: <= 400 requests at a <= 1 ms pinned query
+        cost, so the whole run (convergence and oracle check included)
+        stays well under 30 s."""
+        return replace(self, requests=min(self.requests, 400),
+                       service_time=min(self.service_time, 1e-3))
 
 
 # -- cluster harnesses --------------------------------------------------------
@@ -112,7 +83,7 @@ class _InprocCluster:
         self.tenants = TenantManager()
         self.tenants.create(TenantConfig(name="default", spec=spec))
         self.primary = ThreadedServer(self.tenants, NetServerConfig(
-            query_slots=cfg.query_slots, service_time=cfg.service_time,
+            query_slots=QUERY_SLOTS, service_time=cfg.service_time,
         )).start()
         self.replicas: list[LogShippingReplica] = []
         self.replica_servers: list[ThreadedServer] = []
@@ -133,7 +104,7 @@ class _InprocCluster:
             self.primary.host, self.primary.port,
             listen=("127.0.0.1", 0),
             config=ReplicaConfig(poll_interval=0.005),
-            query_slots=self.cfg.query_slots,
+            query_slots=QUERY_SLOTS,
             service_time=self.cfg.service_time,
         )
         stop = threading.Event()
@@ -202,9 +173,9 @@ class _SubprocCluster:
         serve_cmd = [
             "serve", "--listen", "127.0.0.1:0", "--shards", "1",
             "--backend", "spanner", "--n", str(spec["n"]),
-            "--k", str(spec.get("k", 2)), "--m", str(cfg.m),
+            "--k", str(spec["k"]), "--m", str(M),
             "--seed", str(cfg.seed + 1),
-            "--query-slots", str(cfg.query_slots),
+            "--query-slots", str(QUERY_SLOTS),
             "--service-time-us", str(int(cfg.service_time * 1e6)),
         ]
         self._primary_proc, self.primary_addr = _spawn(serve_cmd)
@@ -219,7 +190,7 @@ class _SubprocCluster:
         proc, addr = _spawn([
             "replica", "--primary", f"{host}:{port}",
             "--listen", "127.0.0.1:0",
-            "--query-slots", str(self.cfg.query_slots),
+            "--query-slots", str(QUERY_SLOTS),
             "--service-time-us", str(int(self.cfg.service_time * 1e6)),
         ])
         self.procs.append(proc)
@@ -310,29 +281,27 @@ def _spawn(cli_args: list[str],
 # -- the drive ----------------------------------------------------------------
 
 
-def run_bench_net(config: BenchNetConfig | None = None) -> BenchNetReport:
+def run_bench_net(config: BenchNetConfig | None = None) -> BenchReport:
     """Run the replica-scaling benchmark; see module docstring."""
     cfg = config or BenchNetConfig()
-    report = BenchNetReport(config=cfg)
     initial, reqs = request_stream(
-        cfg.n, cfg.m, cfg.requests, seed=cfg.seed,
+        N, M, cfg.requests, seed=cfg.seed,
         query_prob=cfg.read_fraction,
     )
     writes = [(op, e) for op, e in reqs if op != "query"]
     reads = [e for op, e in reqs if op == "query"]
-    spec = {"kind": "spanner", "n": cfg.n, "k": cfg.k,
+    spec = {"kind": "spanner", "n": N, "k": K,
             "edges": [list(e) for e in initial], "seed": cfg.seed}
     cluster_cls = _SubprocCluster if cfg.mode == "subprocess" \
         else _InprocCluster
     cluster = cluster_cls(cfg, spec)
     try:
-        return _drive(cluster, cfg, report, writes, reads)
+        return _drive(cluster, cfg, writes, reads)
     finally:
         cluster.close()
 
 
-def _drive(cluster, cfg: BenchNetConfig, report: BenchNetReport,
-           writes, reads) -> BenchNetReport:
+def _drive(cluster, cfg: BenchNetConfig, writes, reads) -> BenchReport:
     read_addrs = cluster.replica_addrs() or [cluster.primary_addr]
     latencies: list[float] = []
     counters = {"sheds": 0, "stale": 0, "done": 0}
@@ -340,6 +309,7 @@ def _drive(cluster, cfg: BenchNetConfig, report: BenchNetReport,
     dead_addrs: set = set()
     kill_at = len(reads) // 2 if cfg.kill_replica else None
     kill_fired = threading.Event()
+    killed_replica = False
 
     def writer() -> None:
         with NetClient(*cluster.primary_addr) as c:
@@ -413,33 +383,51 @@ def _drive(cluster, cfg: BenchNetConfig, report: BenchNetReport,
             victim = cluster.replica_addrs()[0]
             dead_addrs.add(victim)
             cluster.kill_replica(0)
-            report.killed_replica = True
+            killed_replica = True
     for t in threads:
         t.join()
-    report.elapsed_s = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
 
-    report.reads = counters["done"]
-    report.writes = len(writes)
-    report.sheds = counters["sheds"]
-    report.stale_reads = counters["stale"]
-    if report.elapsed_s > 0:
-        report.read_throughput_rps = report.reads / report.elapsed_s
-    if latencies:
-        latencies.sort()
-        report.read_p50_ms = 1e3 * latencies[len(latencies) // 2]
-        report.read_p99_ms = 1e3 * latencies[
-            min(len(latencies) - 1, int(len(latencies) * 0.99))]
+    def percentile_ms(q: float) -> float:
+        if not latencies:
+            return 0.0
+        i = min(len(latencies) - 1, int(len(latencies) * q))
+        return round(1e3 * latencies[i], 3)
 
-    if report.killed_replica:
+    latencies.sort()
+    if killed_replica:
         # a freshly bootstrapped replacement must converge to equivalence
         cluster.add_replica()
-    report.converged = cluster.wait_converged(cfg.converge_timeout)
-    if not report.converged:
-        report.violations.append("replicas did not converge before timeout")
-    else:
-        report.violations.extend(str(v) for v in cluster.verify())
-    report.verified = report.converged and not report.violations
-    return report
+    converged = cluster.wait_converged(CONVERGE_TIMEOUT)
+    violations = [str(v) for v in cluster.verify()] if converged \
+        else ["replicas did not converge before timeout"]
+    payload = {
+        "mode": cfg.mode,
+        "replicas": cfg.replicas,
+        "requests": cfg.requests,
+        "read_fraction": cfg.read_fraction,
+        "service_time": cfg.service_time,
+        "elapsed_s": round(elapsed, 4),
+        "reads": counters["done"],
+        "writes": len(writes),
+        "read_throughput_rps": round(
+            counters["done"] / elapsed if elapsed > 0 else 0.0, 1),
+        "read_p50_ms": percentile_ms(0.5),
+        "read_p99_ms": percentile_ms(0.99),
+        "stale_reads": counters["stale"],
+        "sheds": counters["sheds"],
+        "killed_replica": killed_replica,
+        "converged": converged,
+        "verified": not violations,
+        "violations": violations,
+    }
+    text = format_table(
+        [{k: v for k, v in payload.items() if k != "violations"}],
+        title="repro bench-net: replica scaling (SRV2)")
+    if not violations:
+        text += ("\nreplica equivalence: OK — every replica converged to "
+                 "the primary's exact state (oracle-verified)")
+    return BenchReport(payload, text, failures=list(violations))
 
 
 def _pick_addr(addrs, dead, i):

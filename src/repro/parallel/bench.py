@@ -29,23 +29,32 @@ Before timing anything the bench records the kernels' charged totals
 sequentially, then re-records them under a 2-worker pool and requires
 *exact* ``(work, depth)`` equality plus identical answers — the same
 invariant the ``tools/bench_gate.py`` pins enforce for the serving-path
-scenarios.
+scenarios.  Every run does this; a mismatch is a report failure.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
+from ..harness import BenchReport
 from ..harness.figures import ascii_plot
 from ..pram.cost import NULL_COST_MODEL, Cost, CostModel, brent_time
 from ..queries.batch import batch_components, multi_source_bfs
 from .backend import SequentialBackend
 from .pool import ProcessPoolBackend
 
-__all__ = ["BenchParallelConfig", "run_bench_parallel", "render_report"]
+__all__ = ["BenchParallelConfig", "MIN_SPEEDUP", "check_bar",
+           "run_bench_parallel"]
+
+#: the pool-backed batch kernels the sweep times
+KERNELS = ("mbfs", "components")
+#: acceptance bar (full runs): measured speedup of at least MIN_SPEEDUP at
+#: p = BAR_PROCS on at least one kernel
+MIN_SPEEDUP = 2.0
+BAR_PROCS = 4
 
 
 @dataclass
@@ -59,24 +68,37 @@ class BenchParallelConfig:
     procs: tuple[int, ...] = (1, 2, 4, 8)
     unit_cost_us: float = 15.0
     repeats: int = 2
-    kernels: tuple[str, ...] = ("mbfs", "components")
     min_items: int = 32        # rounds smaller than this expand inline
     seed: int = 0
-    verify_charges: bool = True
     pure: bool = False         # add a unit_cost=0 (raw CPU) sweep
-    min_speedup: float | None = 2.0  # bar at p=4 (full runs)
-    smoke: bool = False
 
-    def __post_init__(self) -> None:
-        if self.smoke:
-            self.n = min(self.n, 600)
-            self.m = min(self.m, 1800)
-            self.sources = min(self.sources, 8)
-            self.queried = min(self.queried, 16)
-            self.procs = tuple(p for p in self.procs if p <= 2) or (1, 2)
-            self.repeats = 1
-            self.unit_cost_us = min(self.unit_cost_us, 20.0)
-            self.min_speedup = None
+    def smoke_sized(self) -> BenchParallelConfig:
+        """This run at CI size: a small graph, p <= 2, one repeat."""
+        return replace(
+            self,
+            n=min(self.n, 600),
+            m=min(self.m, 1800),
+            sources=min(self.sources, 8),
+            queried=min(self.queried, 16),
+            procs=tuple(p for p in self.procs if p <= 2) or (1, 2),
+            repeats=1,
+            unit_cost_us=min(self.unit_cost_us, 20.0),
+        )
+
+
+def check_bar(report: BenchReport) -> None:
+    """Record a failure unless a full run reaches :data:`MIN_SPEEDUP` at
+    ``p = BAR_PROCS`` on at least one kernel; marks each kernel's
+    ``meets_bar``."""
+    best = 0.0
+    for entry in report.payload["kernels"].values():
+        measured = next((r["measured_x"] for r in entry["rows"]
+                         if r["p"] == BAR_PROCS), 0.0)
+        entry["meets_bar"] = measured >= MIN_SPEEDUP
+        best = max(best, measured)
+    report.require(f"PAR1 p={BAR_PROCS} speedup (best kernel)", best,
+                   MIN_SPEEDUP)
+    report.payload["pass"] = report.ok
 
 
 def _random_adjacency(cfg: BenchParallelConfig) -> dict[int, list[int]]:
@@ -112,7 +134,7 @@ def _kernel_runner(cfg: BenchParallelConfig, kernel: str, adj):
                 backend=backend, adj_version=("par1", cfg.seed),
             )
 
-    elif kernel == "components":
+    else:  # "components"
         verts = rng.sample(range(cfg.n), min(cfg.queried, cfg.n))
 
         def run(backend=None, cost=None):
@@ -121,13 +143,11 @@ def _kernel_runner(cfg: BenchParallelConfig, kernel: str, adj):
                 backend=backend, adj_version=("par1", cfg.seed),
             )
 
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
     return run
 
 
 def _sweep(cfg: BenchParallelConfig, run, charged: Cost, unit_cost_s: float,
-           ref: Any):
+           ref: Any, failures: list[str], kernel: str):
     rows: list[dict[str, Any]] = []
     t_base: float | None = None
     for p in cfg.procs:
@@ -139,9 +159,8 @@ def _sweep(cfg: BenchParallelConfig, run, charged: Cost, unit_cost_s: float,
                 got = run(backend=backend)
                 best = min(best, time.perf_counter() - t0)
             if got != ref:
-                raise AssertionError(
-                    f"p={p} answers diverged from the sequential reference"
-                )
+                failures.append(f"{kernel}: p={p} answers diverged from "
+                                "the sequential reference")
         finally:
             util = backend.utilization
             fallbacks = backend.inline_fallbacks_total
@@ -162,11 +181,12 @@ def _sweep(cfg: BenchParallelConfig, run, charged: Cost, unit_cost_s: float,
     return rows
 
 
-def run_bench_parallel(cfg: BenchParallelConfig) -> dict[str, Any]:
-    """Run the PAR1 sweep; returns a JSON-ready report."""
+def run_bench_parallel(cfg: BenchParallelConfig) -> BenchReport:
+    """Run the PAR1 sweep, charge-pin verification included."""
     adj = _random_adjacency(cfg)
     unit_cost_s = cfg.unit_cost_us * 1e-6
-    report: dict[str, Any] = {
+    failures: list[str] = []
+    payload: dict[str, Any] = {
         "bench": "PAR1",
         "config": {
             "n": cfg.n,
@@ -178,87 +198,76 @@ def run_bench_parallel(cfg: BenchParallelConfig) -> dict[str, Any]:
             "repeats": cfg.repeats,
             "min_items": cfg.min_items,
             "seed": cfg.seed,
-            "smoke": cfg.smoke,
+            # smoke sizing is idempotent, so a smoke run is its fixed point
+            "smoke": cfg == cfg.smoke_sized(),
         },
         "kernels": {},
-        "pass": True,
     }
-    for kernel in cfg.kernels:
+    for kernel in KERNELS:
         run = _kernel_runner(cfg, kernel, adj)
         # Canonical charges: the plain sequential traversal, no backend.
         cm_seq = CostModel()
         ref_answer = run(cost=cm_seq)
         charged = cm_seq.snapshot()
+        # Exact (work, depth) + answer equality under a live 2-worker
+        # pool while charges are being recorded.
+        pool = ProcessPoolBackend(2, min_items=cfg.min_items)
+        try:
+            cm_pool = CostModel()
+            pool_answer = run(backend=pool, cost=cm_pool)
+        finally:
+            pool.close()
+        sequential = [charged.work, charged.depth]
+        pooled = [cm_pool.work, cm_pool.depth]
+        if pooled != sequential:
+            failures.append(f"{kernel}: pool charges {pooled} != "
+                            f"sequential {sequential}")
+        if pool_answer != ref_answer:
+            failures.append(f"{kernel}: pool answers differ from the "
+                            "sequential answers")
         entry: dict[str, Any] = {
             "work": charged.work,
             "depth": charged.depth,
             "brent_time_units": {
                 str(p): round(brent_time(charged, p), 1) for p in cfg.procs
             },
+            "verify": {
+                "charges_equal": pooled == sequential,
+                "answers_equal": pool_answer == ref_answer,
+                "sequential": sequential,
+                "pool": pooled,
+            },
+            "rows": _sweep(cfg, run, charged, unit_cost_s, ref_answer,
+                           failures, kernel),
         }
-        if cfg.verify_charges:
-            # Exact (work, depth) + answer equality under a live 2-worker
-            # pool while charges are being recorded.
-            pool = ProcessPoolBackend(2, min_items=cfg.min_items)
-            try:
-                cm_pool = CostModel()
-                pool_answer = run(backend=pool, cost=cm_pool)
-            finally:
-                pool.close()
-            charges_ok = (cm_pool.work, cm_pool.depth) == (
-                charged.work,
-                charged.depth,
-            )
-            answers_ok = pool_answer == ref_answer
-            entry["verify"] = {
-                "charges_equal": charges_ok,
-                "answers_equal": answers_ok,
-                "sequential": [charged.work, charged.depth],
-                "pool": [cm_pool.work, cm_pool.depth],
-            }
-            if not (charges_ok and answers_ok):
-                report["pass"] = False
-        entry["rows"] = _sweep(cfg, run, charged, unit_cost_s, ref_answer)
         if cfg.pure:
-            entry["pure_rows"] = _sweep(cfg, run, charged, 0.0, ref_answer)
-        report["kernels"][kernel] = entry
-        if cfg.min_speedup is not None:
-            row4 = next(
-                (r for r in entry["rows"] if r["p"] == 4), None
-            )
-            entry["meets_bar"] = (
-                row4 is not None and row4["measured_x"] >= cfg.min_speedup
-            )
-    if cfg.min_speedup is not None:
-        # The acceptance bar: >= min_speedup at p=4 on at least one kernel.
-        if not any(
-            e.get("meets_bar") for e in report["kernels"].values()
-        ):
-            report["pass"] = False
-    return report
+            entry["pure_rows"] = _sweep(cfg, run, charged, 0.0, ref_answer,
+                                        failures, kernel)
+        payload["kernels"][kernel] = entry
+    payload["pass"] = not failures
+    return BenchReport(payload, _render(payload), failures)
 
 
-def render_report(report: dict[str, Any]) -> str:
+def _render(payload: dict[str, Any]) -> str:
     """Human-readable tables + ASCII speedup plot."""
     lines: list[str] = []
-    cfg = report["config"]
+    cfg = payload["config"]
     lines.append(
         f"PAR1 p-sweep: n={cfg['n']} m={cfg['m']} k={cfg['sources']} "
         f"unit_cost={cfg['unit_cost_us']}us/work "
         f"procs={cfg['procs']}"
     )
-    for kernel, entry in report["kernels"].items():
+    for kernel, entry in payload["kernels"].items():
         lines.append("")
         lines.append(
             f"[{kernel}] charged work={entry['work']} depth={entry['depth']}"
         )
-        if "verify" in entry:
-            v = entry["verify"]
-            lines.append(
-                "  charge pin (2-worker pool vs sequential): "
-                f"charges_equal={v['charges_equal']} "
-                f"answers_equal={v['answers_equal']}"
-            )
+        v = entry["verify"]
+        lines.append(
+            "  charge pin (2-worker pool vs sequential): "
+            f"charges_equal={v['charges_equal']} "
+            f"answers_equal={v['answers_equal']}"
+        )
         lines.append(
             "  p    wall_s   measured_x  predicted_x  utilization"
         )
@@ -288,6 +297,4 @@ def render_report(report: dict[str, Any]) -> str:
                     title=f"{kernel}: speedup vs p",
                 )
             )
-    lines.append("")
-    lines.append(f"PASS={report['pass']}")
     return "\n".join(lines)

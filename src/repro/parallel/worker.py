@@ -22,7 +22,9 @@ plane: nothing here touches a cost model.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
+import sys
 from typing import Any, Callable
 
 __all__ = [
@@ -64,7 +66,10 @@ def serve(conn, handle: Callable[[Any], Any]) -> None:
     """Child-side loop: answer each message with ``handle(msg)``.
 
     Runs until a ``("stop",)`` message or until the parent's end of the
-    pipe closes.  A ``None`` reply is not sent (one-way messages).
+    pipe closes.  A ``None`` reply is not sent (one-way messages).  If
+    ``handle`` raises, the child exits with status 1 after one stderr line
+    naming its pid, the command and the exception (no traceback); the
+    parent sees the closed pipe as :class:`WorkerGone`.
     """
     while True:
         try:
@@ -73,7 +78,12 @@ def serve(conn, handle: Callable[[Any], Any]) -> None:
             return
         if msg[0] == "stop":
             return
-        reply = handle(msg)
+        try:
+            reply = handle(msg)
+        except Exception as exc:  # noqa: BLE001 - the child dies either way
+            print(f"worker pid={os.getpid()} died on {msg[0]!r}: {exc!r}",
+                  file=sys.stderr, flush=True)
+            raise SystemExit(1) from None
         if reply is not None:
             try:
                 _send_frame(conn, reply)

@@ -27,14 +27,24 @@ silently regress to per-query sweeps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
+from repro.harness import BenchReport, format_table
 from repro.pram.cost import CostModel
 
-__all__ = ["BenchQueriesConfig", "BenchQueriesReport", "run_bench_queries"]
+__all__ = ["BenchQueriesConfig", "MIN_SPEEDUP", "check_bar",
+           "run_bench_queries"]
+
+#: acceptance bar (full runs): batched reads at least this many times the
+#: query-at-a-time throughput
+MIN_SPEEDUP = 3.0
+#: share of pair reads drawn from the hot vertex set
+HOT_FRACTION = 0.9
+#: spanner stretch parameter of the served structure
+K = 2
 
 
 @dataclass
@@ -44,8 +54,6 @@ class BenchQueriesConfig:
     requests: int = 4000
     read_fraction: float = 0.95
     window: int = 500               # requests per write-then-read window
-    hot_fraction: float = 0.9       # reads drawn from the hot vertex set
-    k: int = 2                      # spanner stretch parameter
     seed: int = 4242
     repeats: int = 1                # timing repeats (best-of)
     # with parallel >= 2 the service owns a ProcessPoolBackend and a third
@@ -55,68 +63,20 @@ class BenchQueriesConfig:
     # pinned work/depth totals never depend on this knob
     parallel: int = 0
 
+    def __post_init__(self) -> None:
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
 
-@dataclass
-class BenchQueriesReport:
-    config: BenchQueriesConfig
-    reads: int = 0
-    writes: int = 0
-    singleton_rps: float = 0.0
-    batched_rps: float = 0.0
-    speedup_x: float = 0.0
-    parallel_rps: float = 0.0       # pool-backed batched pass (parallel >= 2)
-    parallel_speedup_x: float = 0.0  # vs the singleton pass
-    parallel_utilization: float = 0.0
-    work: int = 0                   # batched-pass cost-model charges
-    depth: int = 0
-    dedup_ratio: float = 1.0        # unique keys / reads
-    verified: bool = False
-    violations: list[str] = field(default_factory=list)
-    wall_seconds: float = 0.0
+    def smoke_sized(self) -> BenchQueriesConfig:
+        """This run at CI size: <= 800 requests, one repeat.  Equivalence
+        is still asserted on every window."""
+        return replace(self, requests=min(self.requests, 800), repeats=1)
 
-    def rows(self) -> list[dict[str, Any]]:
-        """Table rows for :func:`repro.harness.format_table`."""
-        row: dict[str, Any] = {
-            "reads": self.reads,
-            "writes": self.writes,
-            "singleton_rps": round(self.singleton_rps, 1),
-            "batched_rps": round(self.batched_rps, 1),
-            "speedup": f"{self.speedup_x:.2f}x",
-            "dedup": f"{self.dedup_ratio:.2f}",
-            "verified": self.verified,
-        }
-        if self.config.parallel >= 2:
-            row["parallel_rps"] = round(self.parallel_rps, 1)
-            row["par_speedup"] = f"{self.parallel_speedup_x:.2f}x"
-        return [row]
 
-    def to_dict(self) -> dict:
-        """JSON-safe report payload (the ``--json`` output)."""
-        out: dict[str, Any] = {
-            "n": self.config.n,
-            "m": self.config.m,
-            "requests": self.config.requests,
-            "read_fraction": self.config.read_fraction,
-            "reads": self.reads,
-            "writes": self.writes,
-            "singleton_rps": round(self.singleton_rps, 1),
-            "batched_rps": round(self.batched_rps, 1),
-            "speedup_x": round(self.speedup_x, 2),
-            "work": self.work,
-            "depth": self.depth,
-            "dedup_ratio": round(self.dedup_ratio, 3),
-            "verified": self.verified,
-            "violations": self.violations,
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-        # only present when the pool pass ran, so the default payload (the
-        # shape the gate baseline records) is unchanged by this feature
-        if self.config.parallel >= 2:
-            out["parallel"] = self.config.parallel
-            out["parallel_rps"] = round(self.parallel_rps, 1)
-            out["parallel_speedup_x"] = round(self.parallel_speedup_x, 2)
-            out["parallel_utilization"] = round(self.parallel_utilization, 3)
-        return out
+def check_bar(report: BenchReport) -> None:
+    """Record a failure if a full run misses :data:`MIN_SPEEDUP`."""
+    report.require("SRV3 batched/singleton read speedup",
+                   report.payload["speedup_x"], MIN_SPEEDUP)
 
 
 def _initial_edges(rng: np.random.Generator, n: int, m: int) -> list:
@@ -151,7 +111,7 @@ def _make_windows(
             if rng.random() < 0.02:
                 reads.append(("size", None))
                 continue
-            lo = hot if rng.random() < cfg.hot_fraction else cfg.n
+            lo = hot if rng.random() < HOT_FRACTION else cfg.n
             u = int(rng.integers(0, lo))
             v = int(rng.integers(0, lo))
             kind = kinds[int(rng.integers(0, len(kinds)))]
@@ -160,7 +120,7 @@ def _make_windows(
     return windows
 
 
-def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
+def run_bench_queries(cfg: BenchQueriesConfig) -> BenchReport:
     """Run the SRV3 comparison; deterministic shape for a fixed config."""
     from repro.queries.batch import coalesce_queries
     from repro.service.engine import LocalExecutor, SpannerService
@@ -169,14 +129,14 @@ def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
     rng = np.random.default_rng(cfg.seed)
     edges = _initial_edges(rng, cfg.n, cfg.m)
     windows = _make_windows(cfg, rng)
-    report = BenchQueriesReport(config=cfg)
 
     best_single = float("inf")
     best_batch = float("inf")
     best_par = float("inf")
+    utilization = 0.0
     for _ in range(max(cfg.repeats, 1)):
         spec = {"kind": "spanner", "n": cfg.n, "edges": edges,
-                "k": cfg.k, "seed": cfg.seed}
+                "k": K, "seed": cfg.seed}
         backend = None
         if cfg.parallel >= 2:
             # fork before the service spawns any threads of its own; the
@@ -235,27 +195,59 @@ def run_bench_queries(cfg: BenchQueriesConfig) -> BenchQueriesReport:
         finally:
             svc.close()
         if backend is not None:
-            report.parallel_utilization = backend.utilization
+            utilization = backend.utilization
         best_single = min(best_single, t_single)
         best_batch = min(best_batch, t_batch)
         best_par = min(best_par, t_par)
         # cost charges and stream shape are identical across repeats;
-        # keep the last repeat's accounting
-        report.reads = reads
-        report.writes = writes
-        report.work = cm.work
-        report.depth = cm.depth
-        report.dedup_ratio = unique / reads if reads else 1.0
-        report.violations = violations
+        # the last repeat's accounting stands
 
-    report.singleton_rps = report.reads / best_single \
-        if best_single > 0 else 0.0
-    report.batched_rps = report.reads / best_batch \
-        if best_batch > 0 else 0.0
-    report.speedup_x = best_single / best_batch if best_batch > 0 else 0.0
-    if cfg.parallel >= 2 and best_par > 0 and best_par != float("inf"):
-        report.parallel_rps = report.reads / best_par
-        report.parallel_speedup_x = best_single / best_par
-    report.verified = not report.violations
-    report.wall_seconds = time.perf_counter() - t_start
-    return report
+    speedup = best_single / best_batch if best_batch > 0 else 0.0
+    dedup = unique / reads if reads else 1.0
+    payload: dict[str, Any] = {
+        "n": cfg.n,
+        "m": cfg.m,
+        "requests": cfg.requests,
+        "read_fraction": cfg.read_fraction,
+        "reads": reads,
+        "writes": writes,
+        "singleton_rps": round(
+            reads / best_single if best_single > 0 else 0.0, 1),
+        "batched_rps": round(
+            reads / best_batch if best_batch > 0 else 0.0, 1),
+        "speedup_x": round(speedup, 2),
+        "work": cm.work,
+        "depth": cm.depth,
+        "dedup_ratio": round(dedup, 3),
+        "verified": not violations,
+        "violations": violations,
+        "wall_seconds": round(time.perf_counter() - t_start, 3),
+    }
+    row: dict[str, Any] = {
+        "reads": reads,
+        "writes": writes,
+        "singleton_rps": payload["singleton_rps"],
+        "batched_rps": payload["batched_rps"],
+        "speedup": f"{speedup:.2f}x",
+        "dedup": f"{dedup:.2f}",
+        "verified": not violations,
+    }
+    # the pool keys appear only when the pool pass ran, so the default
+    # payload (the shape the gate baseline records) is unchanged by it
+    if cfg.parallel >= 2:
+        par_ok = 0 < best_par < float("inf")
+        par_speedup = best_single / best_par if par_ok else 0.0
+        payload["parallel"] = cfg.parallel
+        payload["parallel_rps"] = round(reads / best_par if par_ok else 0.0, 1)
+        payload["parallel_speedup_x"] = round(par_speedup, 2)
+        payload["parallel_utilization"] = round(utilization, 3)
+        row["parallel_rps"] = payload["parallel_rps"]
+        row["par_speedup"] = f"{par_speedup:.2f}x"
+    text = format_table(
+        [row], title="repro bench-queries: batched vs singleton reads (SRV3)")
+    text += (f"\n\nwork={cm.work} depth={cm.depth} "
+             f"wall={payload['wall_seconds']:.2f}s")
+    if not violations:
+        text += ("\nbatch equivalence: OK — every batched answer equals "
+                 "the query-at-a-time answer on the same snapshot")
+    return BenchReport(payload, text, failures=list(violations))

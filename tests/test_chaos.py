@@ -141,6 +141,28 @@ class TestRealProcessKill:
         problems = [d for r in report.runs for d in r.divergences]
         assert report.ok, problems
 
+    def test_crashing_worker_dies_on_one_stderr_line(self, capfd):
+        """A backend that raises on a poison command ends the forked
+        worker with one stderr line, no traceback; the parent still sees
+        ShardDeadError."""
+        from repro.service import ShardDeadError
+
+        initial, _ = request_stream(32, 96, 1, seed=3)
+        spec = {"kind": "spanner", "n": 32, "edges": initial, "seed": 11,
+                "k": 2}
+        ex = ShardedExecutor(spec, 1, processes=True, supervision=None)
+        try:
+            pid = ex._shards[0].proc.pid
+            # deleting an edge the graph lacks crashes the backend
+            absent = _edge_for_shard(0, set(initial), shards=1)
+            with pytest.raises(ShardDeadError):
+                ex.apply(UpdateBatch(deletions=[absent]))
+        finally:
+            ex.close()
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert f"worker pid={pid} died on 'update': KeyError(" in err
+
 
 class TestReplicaChaosCampaign:
     def test_replica_plans_converge_exactly(self):

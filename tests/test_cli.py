@@ -32,6 +32,9 @@ class TestParser:
             ["chaos", "--requests", "-1"],
             ["bench-net", "--requests", "-1"],
             ["bench-queries", "--requests", "-1"],
+            ["bench-queries", "--window", "0"],
+            ["bench-queries", "--repeats", "0"],
+            ["bench-parallel", "--repeats", "0"],
         ],
     )
     def test_bad_counts_exit_2_with_usage(self, argv, capsys):

@@ -447,7 +447,14 @@ class TestBenchQueries:
 
         rep = run_bench_queries(BenchQueriesConfig(
             n=48, m=60, requests=300, window=100, seed=9, repeats=1))
-        assert rep.verified, rep.violations
-        assert rep.reads > 0 and rep.writes > 0
-        assert rep.work > 0 and rep.depth > 0
-        assert 0.0 < rep.dedup_ratio <= 1.0
+        row = rep.payload
+        assert row["verified"], row["violations"]
+        assert row["reads"] > 0 and row["writes"] > 0
+        assert row["work"] > 0 and row["depth"] > 0
+        assert 0.0 < row["dedup_ratio"] <= 1.0
+
+    def test_empty_window_rejected(self):
+        from repro.queries.bench import BenchQueriesConfig
+
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            BenchQueriesConfig(window=0)

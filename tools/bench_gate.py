@@ -1,37 +1,41 @@
 #!/usr/bin/env python
 """Benchmark regression gate for the batch-update and serving hot paths.
 
-Runs a pinned subset of the ``benchmarks/`` scenarios — the E1 update
-throughput loop, the SRV1 serving-throughput configuration, the SRV2
-replica-scaling run, and the Lemma 3.1 substrate microbenchmark — and
-compares the measured throughput against the committed baseline in
-``BENCH_hotpath.json``.  A scenario that
-regresses by more than the threshold (default 15%) fails the gate.
+Runs five pinned scenarios and compares them against the committed
+baseline in ``BENCH_hotpath.json``:
 
-The JSON records, per scenario, wall-clock throughput (ops/sec), the p99
-flush latency where applicable, and the cost-model work/depth constants.
-The constants are machine-independent: they must stay *identical* across
-refactors of the charging code (charge preservation), so the gate fails on
-any drift in them regardless of the throughput threshold.
+* ``bench_e1`` — E1 update stream; exact ``work``/``depth`` pins;
+* ``bench_srv_service_throughput`` — SRV1 serving loop;
+* ``bench_s_substrates`` — Lemma 3.1 substrate loop; exact pins;
+* ``bench_srv2_replica_scaling`` — SRV2 replica equivalence and the
+  scaling bar :data:`SRV2_MIN_SCALING`;
+* ``bench_srv3_read_mix`` — SRV3 batch equivalence, the speedup bar
+  ``repro.queries.bench.MIN_SPEEDUP`` and exact pins.
+
+The ``work``/``depth`` pins are machine-independent cost-model constants:
+they must stay *identical* across refactors of the charging code (charge
+preservation), so any drift fails the gate in every mode.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_gate.py                  # gate
     PYTHONPATH=src python tools/bench_gate.py --update-baseline
-    PYTHONPATH=src python tools/bench_gate.py --smoke          # CI wiring
+    PYTHONPATH=src python tools/bench_gate.py --smoke          # CI
 
-* default: measure, write ``BENCH_hotpath.latest.json``, exit 1 on
-  regression against the committed ``BENCH_hotpath.json``;
-* in every mode, a missed acceptance bar (SRV2 scaling, SRV3 speedup,
-  oracle equivalence) or a crashed scenario is reported as a ``FAIL``
-  row after all scenarios have run, and the exit status is 1;
+* default: measure, write ``BENCH_hotpath.latest.json``, exit 1 on a
+  pin drift, a throughput regression past the threshold (default 15%) or
+  a blown memory ceiling against the committed ``BENCH_hotpath.json``;
+* in every mode, a failed equivalence check, a missed acceptance bar
+  (full runs) or a crashed scenario is reported as a ``FAIL`` row after
+  all scenarios have run, and the exit status is 1;
 * ``--update-baseline``: measure and (re)write ``BENCH_hotpath.json`` —
   run this on the reference machine after intentional perf changes and
   commit the result;
-* ``--smoke``: miniature workloads and no throughput comparison (CI
-  machines are too noisy for wall-clock gating); still validates the
-  committed baseline's schema and the work/depth constants of the small
-  scenarios, so the gate wiring itself cannot rot.
+* ``--smoke`` (CI): one repeat per scenario, no acceptance bars, and no
+  throughput or memory comparison (CI machines are too noisy for
+  wall-clock gating).  The pinned scenarios run at their pinned sizes, so
+  the exact ``work``/``depth`` pins are still enforced; SRV1 and SRV2 run
+  at smoke size.
 """
 
 from __future__ import annotations
@@ -77,10 +81,7 @@ def _best_of(repeats: int, fn):
 def bench_e1_update_throughput(smoke: bool) -> dict:
     """Pinned ``test_e1_update_throughput``: mixed update stream through
     the fully-dynamic spanner (construction included, as in the bench)."""
-    if smoke:
-        n, m, batch, batches = 48, 160, 16, 4
-    else:
-        n, m, batch, batches = 128, 512, 64, 8
+    n, m, batch, batches = 128, 512, 64, 8
     wl = mixed_stream(n, m, batch_size=batch, num_batches=batches, seed=3)
     ops = sum(
         len(b.insertions) + len(b.deletions) for b in wl.batches
@@ -141,15 +142,11 @@ def bench_s_substrates(smoke: bool) -> dict:
     item/scan counts and byte-identical charges as the scalar loop."""
     import numpy as np
 
-    if smoke:
-        universe, size, targets = 1 << 10, 256, (8, 64, 256)
-        inner = 1
-    else:
-        universe, size, targets = 1 << 14, 4096, (8, 64, 512, 4096)
-        # one build+scan pass lasts well under a millisecond — far too
-        # short a window to gate at 15% (run-to-run noise alone exceeds
-        # that); repeating it inside the timed region stretches the window
-        inner = 16
+    universe, size, targets = 1 << 14, 4096, (8, 64, 512, 4096)
+    # one build+scan pass lasts well under a millisecond — far too short a
+    # window to gate at 15% (run-to-run noise alone exceeds that);
+    # repeating it inside the timed region stretches the window
+    inner = 16
 
     def once(cost=None):
         kw = {"cost": cost} if cost is not None else {}
@@ -182,42 +179,38 @@ def bench_s_substrates(smoke: bool) -> dict:
     }
 
 
+#: SRV2 acceptance bar (full runs): 3-replica read throughput over the
+#: 1-replica run.  It lives here rather than in ``repro.net.bench`` because
+#: the gate is the only caller that runs both replica counts.
+SRV2_MIN_SCALING = 2.5
+
+
 def bench_srv2_replica_scaling(smoke: bool) -> dict:
     """Pinned SRV2 configuration: read throughput of an in-process
     primary + log-shipping replica cluster at 1 vs 3 replicas, with a
     pinned simulated per-query service time (so read capacity scales
     with replica count by construction, even on a 1-core CI box).
     Oracle-exact replica equivalence is checked on every run; the full
-    run additionally checks the >=2.5x scaling acceptance bar.  Misses
-    land in the row's ``failures`` list."""
+    run additionally checks :data:`SRV2_MIN_SCALING`."""
     from repro.net.bench import BenchNetConfig, run_bench_net
 
-    if smoke:
-        sizes = dict(requests=200, service_time=1e-3)
-    else:
-        sizes = dict(requests=2000, service_time=2e-3)
-    rps = {}
-    failures = []
-    report = None
+    reports = {}
     for replicas in (1, 3):
-        cfg = BenchNetConfig(replicas=replicas, seed=1234,
-                             mode="inproc", **sizes)
-        report = run_bench_net(cfg)
-        if not report.verified:
-            failures.append(f"{replicas}-replica run not equivalent: "
-                            f"{report.violations}")
-        rps[replicas] = report.read_throughput_rps
-    scaling = rps[3] / rps[1]
-    if not smoke and scaling < 2.5:
-        failures.append(
-            f"SRV2 scaling bar missed: 3-replica reads only {scaling:.2f}x "
-            "the 1-replica throughput (acceptance requires >=2.5x)"
-        )
+        cfg = BenchNetConfig(replicas=replicas)
+        reports[replicas] = run_bench_net(
+            cfg.smoke_sized() if smoke else cfg)
+    one, three = reports[1].payload, reports[3].payload
+    scaling = three["read_throughput_rps"] / one["read_throughput_rps"]
+    if not smoke:
+        reports[3].require("SRV2 read scaling vs the 1-replica run",
+                           scaling, SRV2_MIN_SCALING)
     return {
-        "failures": failures,
-        "ops": report.reads,
-        "ops_per_sec": round(rps[3], 1),
-        "read_p99_ms": round(report.read_p99_ms, 3),
+        "failures": [f"{replicas}-replica run: {msg}"
+                     for replicas, report in reports.items()
+                     for msg in report.failures],
+        "ops": three["reads"],
+        "ops_per_sec": three["read_throughput_rps"],
+        "read_p99_ms": three["read_p99_ms"],
         "scaling_x": round(scaling, 2),
     }
 
@@ -225,37 +218,29 @@ def bench_srv2_replica_scaling(smoke: bool) -> dict:
 def bench_srv3_read_mix(smoke: bool) -> dict:
     """Pinned SRV3 configuration: batched vs query-at-a-time reads on a
     95/5 read-write mix.  Exact batch/singleton equivalence is checked
-    on every run; the full run additionally checks the >=3x speedup
-    acceptance bar (misses land in the row's ``failures`` list), and the
-    batched pass's cost-model work/depth land in the exact-match fields
-    (shared-traversal charging is charge-preserving by construction —
-    per-query sweeps creeping back in would blow the constants, not just
-    the wall clock)."""
-    from repro.queries.bench import BenchQueriesConfig, run_bench_queries
+    on every run and the full run additionally checks the speedup bar
+    (:func:`repro.queries.bench.check_bar`).  The batched pass's
+    cost-model work/depth land in the exact-match fields: per-query
+    sweeps creeping back in would blow the constants, not just the wall
+    clock."""
+    from repro.queries.bench import (
+        BenchQueriesConfig,
+        check_bar,
+        run_bench_queries,
+    )
 
-    if smoke:
-        cfg = BenchQueriesConfig(requests=800, repeats=1)
-    else:
-        cfg = BenchQueriesConfig(repeats=3)
-    report = run_bench_queries(cfg)
-    failures = []
-    if not report.verified:
-        failures.append(f"batched answers not equivalent: "
-                        f"{report.violations}")
-    if not smoke and report.speedup_x < 3.0:
-        failures.append(
-            f"SRV3 speedup bar missed: batched reads only "
-            f"{report.speedup_x:.2f}x the singleton path "
-            "(acceptance requires >=3x)"
-        )
+    report = run_bench_queries(BenchQueriesConfig(repeats=1 if smoke else 3))
+    if not smoke:
+        check_bar(report)
+    row = report.payload
     return {
-        "failures": failures,
-        "ops": report.reads,
-        "ops_per_sec": round(report.batched_rps, 1),
-        "speedup_x": round(report.speedup_x, 2),
-        "work": report.work,
-        "depth": report.depth,
-        "dedup_ratio": round(report.dedup_ratio, 3),
+        "failures": report.failures,
+        "ops": row["reads"],
+        "ops_per_sec": row["batched_rps"],
+        "speedup_x": row["speedup_x"],
+        "work": row["work"],
+        "depth": row["depth"],
+        "dedup_ratio": row["dedup_ratio"],
     }
 
 
@@ -320,8 +305,10 @@ def set_memory_ceilings(doc: dict) -> None:
             row["peak_rss_mb_ceiling"] = round(peak * MEMORY_HEADROOM, 1)
 
 
-def compare(current: dict, baseline: dict, threshold: float) -> list[str]:
-    """Failure messages (empty = gate passes)."""
+def compare(current: dict, baseline: dict, threshold: float,
+            smoke: bool = False) -> list[str]:
+    """Failure messages (empty = gate passes).  A smoke run is checked
+    against the exact pins only: its throughput and memory are noise."""
     failures: list[str] = []
     base_scen = baseline.get("scenarios", {})
     for name, cur in current["scenarios"].items():
@@ -337,10 +324,12 @@ def compare(current: dict, baseline: dict, threshold: float) -> list[str]:
                     "charge-preserving; refresh the baseline only for "
                     "intentional charging changes)"
                 )
-        # enforced memory ceiling (full runs only: smoke sizes differ).
-        # RSS is machine-dependent but bounded — a blowup past the
-        # committed ceiling means a copy crept into a hot path; refresh
-        # intentional footprint changes with --update-memory
+        if smoke:
+            continue
+        # enforced memory ceiling.  RSS is machine-dependent but bounded:
+        # a blowup past the committed ceiling means a copy crept into a
+        # hot path; refresh intentional footprint changes with
+        # --update-memory
         ceiling = base.get("peak_rss_mb_ceiling")
         peak = cur.get("peak_rss_mb")
         if ceiling and peak and peak > ceiling:
@@ -425,11 +414,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[bench_gate] baseline lacks scenario {name}")
             return 2
 
-    # smoke runs use different sizes, so neither throughput nor constants
-    # are comparable against the full-size committed baseline — the run
-    # above plus the schema check is the wiring test
-    if not args.smoke:
-        failures += compare(current, baseline, args.threshold)
+    failures += compare(current, baseline, args.threshold, args.smoke)
 
     for name, cur in current["scenarios"].items():
         base = baseline["scenarios"].get(name, {})
